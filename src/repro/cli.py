@@ -33,6 +33,11 @@ found unrecoverable corruption.  Shard-scoped store failures (lock
 starvation, one corrupt segment) do *not* change the exit code: the
 affected shard is quarantined, the run continues memory-only for those
 keys, and the fault report says so.
+
+A one-shot ``analyze FILE`` imports only the front end, the IR, the
+tests, the cached driver and the renderer: the store, checkpoint log,
+process pool, corpus streamer, service and study modules are imported
+inside the subcommand or option branch that uses them.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.backends import backend_names
 from repro.corpus.loader import (
@@ -48,25 +53,18 @@ from repro.corpus.loader import (
     available_suites,
     default_symbols,
 )
-from repro.engine import (
-    DEFAULT_SHARDS,
-    CheckpointLog,
-    DependenceEngine,
-    EngineFaultError,
-    FaultPolicy,
-    StoreError,
-    VerdictStore,
-    migrate_store,
-    run_token,
-)
-from repro.engine.faults import FailureRecord
+from repro.engine import DEFAULT_SHARDS
+from repro.engine.engine import DependenceEngine
+from repro.engine.faults import EngineFaultError, FailureRecord, FaultPolicy
 from repro.fortran.errors import FortranSyntaxError
 from repro.fortran.parser import parse_program
 from repro.instrument import TestRecorder
 from repro.ir.normalize import normalize_program
 from repro.transform.parallel import find_parallel_loops
-from repro.transform.peel import find_peeling_opportunities
-from repro.transform.split import find_splitting_opportunities
+
+if TYPE_CHECKING:
+    from repro.engine.checkpoint import CheckpointLog
+    from repro.engine.store import VerdictStore
 
 #: Exit code for a Fortran syntax error in the input file.
 EXIT_SYNTAX_ERROR = 2
@@ -388,6 +386,8 @@ def _open_store(
     quarantines the contended shard rather than failing the run.  A
     legacy v1 file opens read-only with a migration hint.
     """
+    from repro.engine.store import StoreError, VerdictStore
+
     try:
         store = VerdictStore(path, shards=shards)
     except (StoreError, OSError, ValueError) as exc:
@@ -407,6 +407,8 @@ def _attach_checkpoint(
     store: VerdictStore, token: str, label: str, resume: bool
 ) -> CheckpointLog:
     """Build the run's checkpoint log; print the resume banner if asked."""
+    from repro.engine.checkpoint import CheckpointLog
+
     log = CheckpointLog(store, token)
     if resume:
         print(log.resume_summary())
@@ -416,6 +418,8 @@ def _attach_checkpoint(
 
 def _store(args: argparse.Namespace) -> int:
     """``repro-deps store {info,verify,compact,migrate}`` dispatcher."""
+    from repro.engine.store import StoreError, VerdictStore, migrate_store
+
     path: Path = args.path
     if args.store_command == "migrate":
         try:
@@ -533,6 +537,8 @@ def _analyze(args: argparse.Namespace) -> int:
         store = _open_store(args.store, args.store_shards)
         if store is None:
             return EXIT_STORE_ERROR
+        from repro.engine.checkpoint import run_token
+
         checkpoint = _attach_checkpoint(
             store,
             run_token("analyze", source, str(args.jobs)),
@@ -576,6 +582,11 @@ def _analyze(args: argparse.Namespace) -> int:
                 for verdict in find_parallel_loops(routine.body, symbols, graph):
                     print(verdict)
                 if args.transforms:
+                    from repro.transform.peel import find_peeling_opportunities
+                    from repro.transform.split import (
+                        find_splitting_opportunities,
+                    )
+
                     for suggestion in find_peeling_opportunities(
                         routine.body, symbols, graph
                     ):
@@ -628,6 +639,8 @@ def _study(args: argparse.Namespace) -> int:
         store = _open_store(args.store, args.store_shards)
         if store is None:
             return EXIT_STORE_ERROR
+        from repro.engine.checkpoint import run_token
+
         suites = sorted(args.suite) if args.suite else ["<all>"]
         checkpoint = _attach_checkpoint(
             store,
@@ -666,6 +679,7 @@ def _study(args: argparse.Namespace) -> int:
 
 def _serve(args: argparse.Namespace) -> int:
     """Run the analysis service until SIGTERM/SIGINT drains it."""
+    from repro.engine.store import StoreError
     from repro.service.server import ServiceConfig, run_service
 
     config = ServiceConfig(

@@ -52,79 +52,57 @@ dependence graphs and recorder statistics; ``tests/test_engine.py`` holds
 the parity property tests.  Failures never change a verdict from
 dependent to independent: any absorbed fault degrades the affected pair
 to a conservative assumed-dependence edge (``tests/test_faults.py``).
+
+Every name below resolves lazily, on first access, from the submodule
+its table entry names (PEP 562): importing :mod:`repro.engine.engine`
+for a one-shot serial build does not load the store, the process pool
+or the supervisor.
 """
 
-from repro.engine.canonical import (
-    CacheEntry,
-    canonical_pair_key,
-    canonicalize_result,
-    rehydrate_result,
-    rename_map,
-)
-from repro.engine.cache import CachedDriver
-from repro.engine.checkpoint import CheckpointLog, run_token
-from repro.engine.engine import DependenceEngine
-from repro.engine.faults import (
-    BudgetExceededError,
-    ChunkTimeoutError,
-    Deadline,
-    DeadlineExceededError,
-    EngineFaultError,
-    FailureRecord,
-    FaultPolicy,
-    PairTestError,
-    StepBudget,
-    WorkerCrashError,
-)
-from repro.engine.parallel import (
-    build_dependence_graph_parallel,
-    estimate_pair_cost,
-)
-from repro.engine.profile import PhaseProfile
-from repro.engine.stats import EngineStats
-from repro.engine.store import (
-    DEFAULT_SHARDS,
-    CompactionResult,
-    StoreError,
-    StoreLockError,
-    StoreReadOnlyError,
-    StoreReport,
-    VerdictStore,
-    migrate_store,
-)
-from repro.engine.supervisor import PoolSupervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BudgetExceededError",
-    "CacheEntry",
-    "CachedDriver",
-    "CheckpointLog",
-    "ChunkTimeoutError",
-    "Deadline",
-    "DeadlineExceededError",
-    "DependenceEngine",
-    "EngineFaultError",
-    "EngineStats",
-    "FailureRecord",
-    "FaultPolicy",
-    "PairTestError",
-    "PhaseProfile",
-    "PoolSupervisor",
-    "StepBudget",
-    "DEFAULT_SHARDS",
-    "CompactionResult",
-    "StoreError",
-    "StoreLockError",
-    "StoreReadOnlyError",
-    "StoreReport",
-    "VerdictStore",
-    "migrate_store",
-    "WorkerCrashError",
-    "build_dependence_graph_parallel",
-    "canonical_pair_key",
-    "canonicalize_result",
-    "estimate_pair_cost",
-    "rehydrate_result",
-    "rename_map",
-    "run_token",
-]
+#: Default key-prefix shard count for newly created stores (re-exported
+#: by :mod:`repro.engine.store`).  It lives here so the CLI can print it
+#: in ``--help`` without importing the store.  The manifest is
+#: authoritative afterwards — reopening with a different ``shards=``
+#: argument keeps the on-disk count.
+DEFAULT_SHARDS = 8
+
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "BudgetExceededError": "faults",
+    "CacheEntry": "canonical",
+    "CachedDriver": "cache",
+    "CheckpointLog": "checkpoint",
+    "ChunkTimeoutError": "faults",
+    "Deadline": "faults",
+    "DeadlineExceededError": "faults",
+    "DependenceEngine": "engine",
+    "EngineFaultError": "faults",
+    "EngineStats": "stats",
+    "FailureRecord": "faults",
+    "FaultPolicy": "faults",
+    "PairTestError": "faults",
+    "PhaseProfile": "profile",
+    "PoolSupervisor": "supervisor",
+    "StepBudget": "faults",
+    "CompactionResult": "store",
+    "StoreError": "store",
+    "StoreLockError": "store",
+    "StoreReadOnlyError": "store",
+    "StoreReport": "store",
+    "VerdictStore": "store",
+    "migrate_store": "store",
+    "WorkerCrashError": "faults",
+    "build_dependence_graph_parallel": "parallel",
+    "canonical_pair_key": "canonical",
+    "canonicalize_result": "canonical",
+    "estimate_pair_cost": "parallel",
+    "rehydrate_result": "canonical",
+    "rename_map": "canonical",
+    "run_token": "checkpoint",
+}
+
+__all__ = ["DEFAULT_SHARDS", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backends import BatchItem, TestBackend, get_backend
 from repro.classify.pairs import PairContext
@@ -67,10 +67,12 @@ from repro.engine.canonical import (
     rename_map,
 )
 from repro.engine.stats import EngineStats
-from repro.engine.store import VerdictStore
 from repro.instrument import TestRecorder
 from repro.ir.context import SymbolEnv
 from repro.ir.loop import AccessSite
+
+if TYPE_CHECKING:  # the store loads only when a caller opens one
+    from repro.engine.store import VerdictStore
 
 #: Default number of canonical entries kept; the whole kernel corpus needs
 #: a few hundred, so the default effectively never evicts in practice.

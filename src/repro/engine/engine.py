@@ -21,20 +21,21 @@ accumulate across kernels and the corpus-wide hit rate climbs.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.delta.delta import DEFAULT_OPTIONS, DeltaOptions
 from repro.engine.cache import DEFAULT_CAPACITY, CachedDriver
-from repro.engine.checkpoint import CheckpointLog
 from repro.engine.faults import DEFAULT_POLICY, Deadline, FaultPolicy
-from repro.engine.store import VerdictStore
-from repro.engine.parallel import build_dependence_graph_parallel, make_pool
 from repro.engine.profile import PhaseProfile
 from repro.engine.stats import EngineStats
 from repro.graph.depgraph import DependenceGraph, build_dependence_graph
 from repro.instrument import TestRecorder
 from repro.ir.context import SymbolEnv
 from repro.ir.loop import Node
+
+if TYPE_CHECKING:  # the store and checkpoint log load only when opened
+    from repro.engine.checkpoint import CheckpointLog
+    from repro.engine.store import VerdictStore
 
 
 class DependenceEngine:
@@ -123,6 +124,8 @@ class DependenceEngine:
     def _pool_factory(self):
         """Create (and retain for reuse) the worker pool on first dispatch."""
         if self._pool is None:
+            from repro.engine.parallel import make_pool
+
             self._pool = make_pool(
                 self.jobs,
                 self.driver.delta_options,
@@ -152,6 +155,8 @@ class DependenceEngine:
         if self.checkpoint is not None:
             self.checkpoint.begin_build()
         if self.jobs > 1:
+            from repro.engine.parallel import build_dependence_graph_parallel
+
             return build_dependence_graph_parallel(
                 nodes,
                 symbols=env,

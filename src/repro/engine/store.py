@@ -94,7 +94,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.plan import TestPlan
-from repro.engine import faultinject
+from repro.engine import DEFAULT_SHARDS, faultinject
 from repro.engine.canonical import CacheEntry, CanonicalKey
 
 try:  # POSIX only; on platforms without fcntl the store runs unlocked.
@@ -116,11 +116,6 @@ STORE_VERSION = 2
 #: TestPlan, or the canonical-key layout changes shape; an on-disk
 #: mismatch rebuilds the segment instead of deserializing stale data.
 SCHEMA_VERSION = 1
-
-#: Default key-prefix shard count for newly created stores.  The
-#: manifest is authoritative afterwards — reopening with a different
-#: ``shards=`` argument keeps the on-disk count.
-DEFAULT_SHARDS = 8
 
 #: Sanity bound on the manifest shard count (a corrupt count must not
 #: make open() try to create millions of files).

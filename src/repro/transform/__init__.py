@@ -1,42 +1,33 @@
-"""Transformation-legality consumers of dependence information."""
+"""Transformation-legality consumers of dependence information.
 
-from repro.transform.parallel import (
-    LoopParallelism,
-    find_parallel_loops,
-    parallel_loop_count,
-)
-from repro.transform.interchange import (
-    InterchangeAdvice,
-    InterchangeVerdict,
-    check_interchange,
-    interchange_advice,
-    interchange_legal,
-)
-from repro.transform.apply import (
-    interchange_loops,
-    peel_loop,
-    split_loop,
-)
-from repro.transform.vectorize import VectorizationReport, vectorize
-from repro.transform.peel import PeelSuggestion, find_peeling_opportunities
-from repro.transform.split import SplitSuggestion, find_splitting_opportunities
+Names resolve lazily from the submodule their table entry names (PEP
+562): ``analyze`` needs only :mod:`repro.transform.parallel`, and the
+vectorizer, interchange, peeling and splitting modules load on first use.
+"""
 
-__all__ = [
-    "LoopParallelism",
-    "find_parallel_loops",
-    "parallel_loop_count",
-    "InterchangeAdvice",
-    "InterchangeVerdict",
-    "check_interchange",
-    "interchange_advice",
-    "interchange_legal",
-    "interchange_loops",
-    "peel_loop",
-    "split_loop",
-    "VectorizationReport",
-    "vectorize",
-    "PeelSuggestion",
-    "find_peeling_opportunities",
-    "SplitSuggestion",
-    "find_splitting_opportunities",
-]
+from repro._lazy import lazy_exports
+
+#: Exported name -> defining submodule.
+_EXPORTS = {
+    "LoopParallelism": "parallel",
+    "find_parallel_loops": "parallel",
+    "parallel_loop_count": "parallel",
+    "InterchangeAdvice": "interchange",
+    "InterchangeVerdict": "interchange",
+    "check_interchange": "interchange",
+    "interchange_advice": "interchange",
+    "interchange_legal": "interchange",
+    "interchange_loops": "apply",
+    "peel_loop": "apply",
+    "split_loop": "apply",
+    "VectorizationReport": "vectorize",
+    "vectorize": "vectorize",
+    "PeelSuggestion": "peel",
+    "find_peeling_opportunities": "peel",
+    "SplitSuggestion": "split",
+    "find_splitting_opportunities": "split",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

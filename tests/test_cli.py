@@ -1,10 +1,66 @@
 """Tests for the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.corpus.loader import KERNEL_ROOT
+
+SRC_DIR = str(Path(__file__).parent.parent / "src")
+
+#: A bundled kernel for the cold-process runs.
+KERNEL = str(KERNEL_ROOT / "linpack" / "dgefa.f")
+
+#: Modules (with their submodules) a one-shot ``analyze`` never runs, so
+#: must not import: the pool, the store, the corpus streamer, the
+#: service, the study, the numpy backend and the ``--transforms`` and
+#: ``vectorize`` consumers, plus the stdlib packages only they pull in.
+ONE_SHOT_EXCLUDED = (
+    "multiprocessing",
+    "concurrent.futures",
+    "asyncio",
+    "socket",
+    "logging",
+    "pickle",
+    "hashlib",
+    "numpy",
+    "repro.engine.store",
+    "repro.engine.parallel",
+    "repro.engine.supervisor",
+    "repro.engine.checkpoint",
+    "repro.corpus.stream",
+    "repro.corpus.generator",
+    "repro.service",
+    "repro.study",
+    "repro.backends.batched",
+    "repro.transform.vectorize",
+    "repro.transform.interchange",
+    "repro.transform.peel",
+    "repro.transform.split",
+)
+
+
+def imported_modules(*args, cwd):
+    """Every module a fresh ``python -X importtime ARGS`` imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    for name in ("REPRO_BACKEND", "REPRO_FAULTS", "REPRO_FAULT_MARKER"):
+        env.pop(name, None)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "self [us]" not in line
+    }
 
 
 @pytest.fixture()
@@ -198,3 +254,38 @@ class TestVectorizeCommand:
         path.write_text("do i = 1, 9\n a(i) = b(i)\nenddo\n")
         assert main(["vectorize", str(path)]) == 0
         assert "FORALL" in capsys.readouterr().out
+
+
+class TestImportFootprint:
+    """A one-shot ``analyze`` imports only what it runs (cold start)."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [("-c", "import repro.cli"), ("-m", "repro", "analyze", KERNEL)],
+        ids=["import", "analyze"],
+    )
+    def test_one_shot_skips_unused_modules(self, command, tmp_path):
+        # Modules the bare interpreter (and any site hook) already loads
+        # are not the program's doing.
+        startup = imported_modules("-c", "pass", cwd=tmp_path)
+        loaded = imported_modules(*command, cwd=tmp_path) - startup
+        unexpected = sorted(
+            module
+            for module in loaded
+            for excluded in ONE_SHOT_EXCLUDED
+            if module == excluded or module.startswith(excluded + ".")
+        )
+        assert unexpected == []
+
+    def test_jobs_loads_the_pool(self, tmp_path):
+        loaded = imported_modules(
+            "-m", "repro", "analyze", KERNEL, "--jobs", "2", cwd=tmp_path
+        )
+        assert "repro.engine.parallel" in loaded
+
+    def test_store_loads_the_store(self, tmp_path):
+        loaded = imported_modules(
+            "-m", "repro", "analyze", KERNEL,
+            "--store", str(tmp_path / "verdicts.db"), cwd=tmp_path,
+        )
+        assert "repro.engine.store" in loaded

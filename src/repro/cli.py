@@ -47,7 +47,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.backends import backend_names
 from repro.corpus.loader import (
     available_programs,
     available_suites,
@@ -99,12 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="test reference pairs over N worker processes (default 1)",
     )
     analyze.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend: 'reference' (per-pair) or 'batched' "
-        "(numpy-vectorized; falls back to reference without numpy). "
-        "Default: $REPRO_BACKEND or 'reference'",
-    )
-    analyze.add_argument(
         "--no-cache", action="store_true",
         help="disable the canonical-pair verdict cache",
     )
@@ -139,12 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     study.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="test reference pairs over N worker processes (default 1)",
-    )
-    study.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend: 'reference' (per-pair) or 'batched' "
-        "(numpy-vectorized; falls back to reference without numpy). "
-        "Default: $REPRO_BACKEND or 'reference'",
     )
     study.add_argument(
         "--strict", action="store_true",
@@ -184,10 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for large builds (default 1)",
-    )
-    serve.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend (default: $REPRO_BACKEND or 'reference')",
     )
     serve.add_argument(
         "--store", type=Path, default=None, metavar="PATH",
@@ -258,12 +241,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     corpus_run.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="test reference pairs over N worker processes (default 1)",
-    )
-    corpus_run.add_argument(
-        "--backend", choices=backend_names(), default=None, metavar="NAME",
-        help="test backend: 'reference' (per-pair) or 'batched' "
-        "(numpy-vectorized; falls back to reference without numpy). "
-        "Default: $REPRO_BACKEND or 'reference'",
     )
     corpus_run.add_argument(
         "--strict", action="store_true",
@@ -554,7 +531,6 @@ def _analyze(args: argparse.Namespace) -> int:
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
         checkpoint=checkpoint,
-        backend=args.backend,
     )
     recorder = TestRecorder()
     try:
@@ -615,9 +591,6 @@ def _analyze(args: argparse.Namespace) -> int:
             print(engine.stats)
     if args.profile and engine.profile is not None:
         print(engine.profile)
-        coverage = engine.stats.coverage_report()
-        if coverage:
-            print(coverage)
     if engine.stats.degraded:
         print(engine.stats.failure_report())
     return 0
@@ -654,7 +627,6 @@ def _study(args: argparse.Namespace) -> int:
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
         checkpoint=checkpoint,
-        backend=args.backend,
     )
     try:
         with engine:
@@ -686,7 +658,6 @@ def _serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         jobs=max(args.jobs, 1),
-        backend=args.backend,
         store_path=args.store,
         store_shards=args.store_shards,
         max_in_flight=args.max_in_flight,
@@ -789,7 +760,6 @@ def _corpus_run(args: argparse.Namespace) -> int:
         jobs=max(args.jobs, 1),
         policy=FaultPolicy.from_env(strict=args.strict),
         store=store,
-        backend=args.backend,
     )
     runner = StreamingCorpusRunner(
         tree,

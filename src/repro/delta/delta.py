@@ -18,18 +18,12 @@ Algorithm (the paper's Figure 3):
 Each subscript is fully tested at most once per reduction, so the test is
 linear in the number of subscripts (Section 5.4).
 
-Step 1 is structured as discrete *rounds*: each reduction pass first
-collects every pending ZIV/SIV subscript together with the round's
-(possibly range-tightened) context, then evaluates all of them, then
-applies the outcomes sequentially — recording, constraint intersection,
-early exit.  The round context is computed once at collection time, so
-every subscript of a round is tested against the same ranges and the
-evaluation order within a round cannot matter.  That makes the evaluation
-step pluggable: :meth:`_DeltaState.run` accepts an ``evaluate`` callable
-(and :meth:`_DeltaState.rounds` exposes the same protocol as a generator),
-which the batched backend uses to evaluate one round's tests for *many*
-coupled groups as a single vectorized pass.  The default evaluator calls
-``ziv_test``/``siv_test`` per subscript, exactly as before.
+Step 1 runs in discrete *rounds*, one per reduction pass: every
+pending ZIV/SIV subscript of a round is tested against the same
+round-start (possibly range-tightened) context, and only then are the
+outcomes applied in order — recording, constraint intersection, early
+exit — so a constraint learned mid-round tightens the ranges of the
+*next* round, never of a later subscript in the same one.
 """
 
 from __future__ import annotations
@@ -102,7 +96,6 @@ def delta_test(
     recorder: Optional[TestRecorder] = None,
     options: DeltaOptions = DEFAULT_OPTIONS,
     budget=None,
-    evaluate=None,
 ) -> TestOutcome:
     """Run the Delta test on one minimal coupled group.
 
@@ -112,47 +105,18 @@ def delta_test(
     is an optional step allowance (anything with ``spend(n)``): each
     reduction pass charges one unit per pending subscript, bounding the
     multipass loop on pathological systems.
-
-    ``evaluate`` overrides the per-round ZIV/SIV evaluation: a callable
-    ``evaluate(tests, ctx) -> List[TestOutcome]`` receiving the round's
-    ``(pair, kind)`` requests and shared context.  It must return the
-    outcomes ``ziv_test``/``siv_test`` would produce for each request
-    (typically serving most of them from a vectorized batch).
     """
-    state = delta_prepare(pairs, context, recorder, options, budget)
-    return delta_finalize(state, recorder, state.run(evaluate))
-
-
-def delta_prepare(
-    pairs: List[SubscriptPair],
-    context: PairContext,
-    recorder: Optional[TestRecorder] = None,
-    options: DeltaOptions = DEFAULT_OPTIONS,
-    budget=None,
-) -> "_DeltaState":
-    """Build the working state for one coupled group (``delta_test``'s
-    prologue, shared with the batched backend's lock-step group runner)."""
     state = _DeltaState(context, recorder, options, budget)
     for pair in pairs:
         if pair.is_linear:
             state.pending.append(normalize_pair(pair, context))
         else:
             state.opaque.append(pair)
-    return state
-
-
-def delta_finalize(
-    state: "_DeltaState",
-    recorder: Optional[TestRecorder],
-    independent: bool,
-) -> TestOutcome:
-    """Build (and record) the final ``"delta"`` outcome from a finished run.
-
-    The final range-tightening pass can itself empty an index range — a
-    proof of independence discovered while *reporting* the constraints —
-    so the context computation participates in the independence decision
-    rather than escaping as control flow.
-    """
+    independent = state.run()
+    # The final range-tightening pass can itself empty an index range — a
+    # proof of independence discovered while *reporting* the constraints —
+    # so the context computation takes part in the independence decision
+    # rather than escaping as control flow.
     final_context = None
     if not independent:
         try:
@@ -215,40 +179,8 @@ class _DeltaState:
 
     # -- main loop -------------------------------------------------------
 
-    def run(self, evaluate=None) -> bool:
-        """Execute the reduction loop; True means independence was proven.
-
-        ``evaluate`` overrides the per-round ZIV/SIV evaluation (see
-        :func:`delta_test`); the default evaluator applies the single
-        tests one subscript at a time.
-        """
-        rounds = self.rounds()
-        try:
-            request = rounds.send(None)
-            while True:
-                tests, ctx = request
-                if evaluate is None:
-                    outcomes = self.evaluate_direct(tests, ctx)
-                else:
-                    outcomes = evaluate(tests, ctx)
-                request = rounds.send(outcomes)
-        except StopIteration as stop:
-            return bool(stop.value)
-
-    def rounds(self):
-        """Generator protocol behind :meth:`run`: the lock-step seam.
-
-        Yields one ``(tests, ctx)`` request per reduction pass — the
-        round's pending ZIV/SIV subscripts as ``(pair, kind)`` tuples and
-        the round-start (tightened) context every one of them is tested
-        against — and expects the matching outcome list back via
-        ``send``.  Constraint intersection, propagation, RDIV handling,
-        and the residual-MIV sweep all run inside the generator between
-        rounds; the ``StopIteration`` value is True when independence was
-        proven.  The batched backend drives many groups' generators in
-        lock step, answering each round of requests with one vectorized
-        evaluation across all of them.
-        """
+    def run(self) -> bool:
+        """Execute the reduction loop; True means independence was proven."""
         if self.opaque:
             self.exact = False
         try:
@@ -256,12 +188,8 @@ class _DeltaState:
                 self.passes += 1
                 if self.budget is not None:
                     self.budget.spend(1 + len(self.pending))
-                tests, remaining, ctx = self._collect_round()
-                outcomes = yield (tests, ctx)
-                self.pending = remaining
-                decided = self._apply_round(tests, outcomes)
-                if decided is not None:
-                    return decided
+                if self._siv_pass():
+                    return True
                 if not self.pending:
                     break
                 changed = self._rdiv_pass()
@@ -275,17 +203,13 @@ class _DeltaState:
 
     # -- step 1: ZIV/SIV testing and constraint intersection ---------------
 
-    def _collect_round(
-        self,
-    ) -> Tuple[
-        List[Tuple[SubscriptPair, SubscriptKind]],
-        List[SubscriptPair],
-        PairContext,
-    ]:
-        """Split pending subscripts into this round's ZIV/SIV test requests
-        and the remaining (MIV/RDIV) subscripts; the round context is
-        derived once, so every request is evaluated against the same
-        ranges."""
+    def _siv_pass(self) -> bool:
+        """Test this round's ZIV/SIV subscripts; True when one refutes.
+
+        Every subscript is tested against the round-start context before
+        any outcome is applied.  An early exit leaves the rest of the
+        round unrecorded; the MIV/RDIV subscripts stay pending.
+        """
         ctx = self.current_context()
         tests: List[Tuple[SubscriptPair, SubscriptKind]] = []
         remaining: List[SubscriptPair] = []
@@ -295,32 +219,11 @@ class _DeltaState:
                 tests.append((pair, kind))
             else:
                 remaining.append(pair)
-        return tests, remaining, ctx
-
-    def evaluate_direct(
-        self,
-        tests: List[Tuple[SubscriptPair, SubscriptKind]],
-        ctx: PairContext,
-    ) -> List[TestOutcome]:
-        """The reference evaluator: one ``ziv_test``/``siv_test`` per request."""
-        return [
-            ziv_test(pair, ctx)
-            if kind is SubscriptKind.ZIV
-            else siv_test(pair, ctx)
+        self.pending = remaining
+        outcomes = [
+            ziv_test(pair, ctx) if kind is SubscriptKind.ZIV else siv_test(pair, ctx)
             for pair, kind in tests
         ]
-
-    def _apply_round(
-        self,
-        tests: List[Tuple[SubscriptPair, SubscriptKind]],
-        outcomes: List[TestOutcome],
-    ) -> Optional[bool]:
-        """Record outcomes and intersect constraints in request order.
-
-        Early exits discard the rest of the round unrecorded, so the
-        recorder sees exactly the prefix a sequential run would have
-        evaluated.
-        """
         for (pair, kind), outcome in zip(tests, outcomes):
             outcome = maybe_record(self.recorder, outcome)
             if outcome.independent:
@@ -339,7 +242,7 @@ class _DeltaState:
                 return True
             self.constraints[base] = merged
             self._invalidate_context()
-        return None
+        return False
 
     def _validate_against_ranges(self, base: str, constraint: Constraint) -> Constraint:
         """Refute a point constraint whose coordinates leave the loop bounds.

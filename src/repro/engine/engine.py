@@ -54,7 +54,6 @@ class DependenceEngine:
         policy: FaultPolicy = DEFAULT_POLICY,
         store: Optional[VerdictStore] = None,
         checkpoint: Optional[CheckpointLog] = None,
-        backend: Optional[str] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -75,7 +74,6 @@ class DependenceEngine:
             plan_capacity=plan_capacity,
             policy=policy,
             store=store if use_cache else None,
-            backend=backend,
         )
         self._pool = None
         #: Serializes multi-threaded access to the driver (see
@@ -127,10 +125,7 @@ class DependenceEngine:
             from repro.engine.parallel import make_pool
 
             self._pool = make_pool(
-                self.jobs,
-                self.driver.delta_options,
-                self.policy.pair_budget,
-                self.driver.backend.name,
+                self.jobs, self.driver.delta_options, self.policy.pair_budget
             )
         return self._pool
 

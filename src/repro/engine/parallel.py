@@ -47,7 +47,6 @@ from repro.classify.pairs import PairContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.checkpoint import CheckpointLog
-from repro.backends import BatchItem, TestBackend, get_backend
 from repro.core.driver import assumed_dependence_result, test_dependence
 from repro.delta.delta import DEFAULT_OPTIONS, DeltaOptions
 from repro.engine import faultinject
@@ -94,25 +93,16 @@ MIN_PARALLEL_COST = 2048
 #: load-balance uneven test costs without drowning in per-chunk IPC.
 OVERSUBSCRIPTION = 4
 
-# Per-worker configuration (Delta options, per-pair step budget, backend
-# name), installed once by the pool initializer.
-_WORKER: dict = {
-    "delta_options": DEFAULT_OPTIONS,
-    "pair_budget": None,
-    "backend": None,
-}
+# Per-worker configuration (Delta options, per-pair step budget),
+# installed once by the pool initializer.
+_WORKER: dict = {"delta_options": DEFAULT_OPTIONS, "pair_budget": None}
 
 
 def _init_worker(
-    delta_options: DeltaOptions,
-    pair_budget: Optional[int] = None,
-    backend: Optional[str] = None,
+    delta_options: DeltaOptions, pair_budget: Optional[int] = None
 ) -> None:
     _WORKER["delta_options"] = delta_options
     _WORKER["pair_budget"] = pair_budget
-    # Backends cross the process boundary by *name* (instances hold lazy
-    # imports); each worker resolves its own instance on first chunk.
-    _WORKER["backend"] = backend
     # Chunk-scoped fault injection (crash/hang) only fires in workers, so
     # the supervisor's parent-side serial recovery computes real results.
     faultinject.IN_WORKER = True
@@ -138,13 +128,12 @@ def make_pool(
     jobs: int,
     delta_options: DeltaOptions = DEFAULT_OPTIONS,
     pair_budget: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> ProcessPoolExecutor:
     """A worker pool configured for :func:`build_dependence_graph_parallel`."""
     return ProcessPoolExecutor(
         max_workers=jobs,
         initializer=_init_worker,
-        initargs=(delta_options, pair_budget, backend),
+        initargs=(delta_options, pair_budget),
     )
 
 
@@ -211,7 +200,6 @@ def run_chunk(
     task: ChunkTask,
     delta_options: DeltaOptions,
     pair_budget: Optional[int],
-    backend: "TestBackend | str | None" = None,
 ) -> List[CacheEntry]:
     """Test a chunk of pairs (by site index); return canonical entries.
 
@@ -220,57 +208,41 @@ def run_chunk(
     re-collected locally; ``collect_access_sites`` is deterministic, so
     site indices agree with the parent's.
 
-    The chunk's pairs flow to ``backend.run_batch`` together, so a
-    batching backend vectorizes *inside* each worker — parallelism and
-    batching compose.  Every pair is individually guarded by the batch
-    interface: an in-test exception (or an exhausted step budget) yields
-    a conservative assumed-dependence entry with an *empty* recorder
-    delta instead of killing the chunk, so one pathological pair cannot
-    take its chunk-mates down with it.  Runs in pool workers and — as
-    the supervisor's recovery path — in the parent.
+    Every pair is individually guarded: an in-test exception (or an
+    exhausted step budget) yields a conservative assumed-dependence entry
+    with an *empty* recorder delta instead of killing the chunk, so one
+    pathological pair cannot take its chunk-mates down with it.  Runs in
+    pool workers and — as the supervisor's recovery path — in the parent.
     """
     seq, nodes, symbols, chunk = task
     faultinject.on_chunk(seq)
-    if backend is None or isinstance(backend, str):
-        backend = get_backend(backend)
     sites = collect_access_sites(nodes)
-    work: List[Tuple[BatchItem, dict]] = []
+    entries: List[CacheEntry] = []
     for src_index, sink_index in chunk:
         src, sink = sites[src_index], sites[sink_index]
         context = PairContext(src, sink, symbols)
-        work.append(
-            (
-                BatchItem(
-                    context=context,
-                    delta_options=delta_options,
-                    budget=StepBudget(pair_budget) if pair_budget else None,
-                ),
-                rename_map(context),
+        recorder = TestRecorder()
+        try:
+            faultinject.on_pair(src.ref.array)
+            result = test_dependence(
+                src,
+                sink,
+                symbols=context.symbols,
+                recorder=recorder,
+                delta_options=delta_options,
+                context=context,
+                budget=StepBudget(pair_budget) if pair_budget else None,
             )
-        )
-    backend.run_batch([item for item, _ in work])
-    entries: List[CacheEntry] = []
-    for item, mapping in work:
-        if item.error is not None:
-            result = assumed_dependence_result(
-                item.context, describe_error(item.error)
-            )
-            entries.append(canonicalize_result(result, mapping, TestRecorder()))
-        else:
-            entries.append(
-                canonicalize_result(item.result, mapping, item.recorder)
-            )
+        except Exception as exc:
+            result = assumed_dependence_result(context, describe_error(exc))
+            recorder = TestRecorder()  # discard partial counters: parity
+        entries.append(canonicalize_result(result, rename_map(context), recorder))
     return entries
 
 
 def _test_chunk(task: ChunkTask) -> List[CacheEntry]:
     """Pool entry point: :func:`run_chunk` under the worker's config."""
-    return run_chunk(
-        task,
-        _WORKER["delta_options"],
-        _WORKER["pair_budget"],
-        _WORKER["backend"],
-    )
+    return run_chunk(task, _WORKER["delta_options"], _WORKER["pair_budget"])
 
 
 def _chunked(items: List, size: int) -> List[List]:
@@ -390,31 +362,16 @@ def build_dependence_graph_parallel(
     executor = pool
     if executor is None and pool_factory is not None:
         executor = pool_factory()
-    backend_name = driver.backend.name
     if executor is None:
-        executor = make_pool(
-            jobs, driver.delta_options, policy.pair_budget, backend_name
-        )
+        executor = make_pool(jobs, driver.delta_options, policy.pair_budget)
         own_pool = True
 
     def _serial_runner(task: ChunkTask) -> List[CacheEntry]:
-        entries = run_chunk(
-            task, driver.delta_options, policy.pair_budget, driver.backend
-        )
-        # The parent-side recovery path runs on the driver's own backend
-        # instance: harvest its batch-coverage counters like the cache's
-        # miss path does.  (Worker-process counters stay in the workers —
-        # chunk results carry only verdicts.)
-        coverage = driver.backend.take_coverage()
-        if coverage:
-            driver.stats.add_coverage(coverage)
-        return entries
+        return run_chunk(task, driver.delta_options, policy.pair_budget)
 
     supervisor = PoolSupervisor(
         executor,
-        spawn=lambda: make_pool(
-            jobs, driver.delta_options, policy.pair_budget, backend_name
-        ),
+        spawn=lambda: make_pool(jobs, driver.delta_options, policy.pair_budget),
         policy=policy,
         stats=driver.stats,
     )
@@ -489,26 +446,13 @@ def build_dependence_graph_parallel(
             for (key, _), entry in zip(work, entries_by_slot):
                 if not entry.assumed:
                     driver.seed(key, entry)
-        if driver.wants_batch:
-            # Mostly hits by now; the stragglers (assumed entries that
-            # were not seeded) re-test as one batch instead of one by one.
-            results = driver.resolve_batch(
-                [(c, m, k) for _, _, c, m, k in prepared], recorder
-            )
-            for (first, second, *_), result in zip(prepared, results):
-                tested += 1
-                if result.independent:
-                    independent += 1
-                else:
-                    edges.extend(edges_from_result(first, second, result))
-        else:
-            for first, second, context, mapping, key in prepared:
-                tested += 1
-                result = driver.resolve(context, mapping, key, recorder)
-                if result.independent:
-                    independent += 1
-                else:
-                    edges.extend(edges_from_result(first, second, result))
+        for first, second, context, mapping, key in prepared:
+            tested += 1
+            result = driver.resolve(context, mapping, key, recorder)
+            if result.independent:
+                independent += 1
+            else:
+                edges.extend(edges_from_result(first, second, result))
     else:
         for (first, second, context, mapping, _), entry in zip(
             prepared, entries_by_slot
@@ -546,17 +490,6 @@ def _serve_serial(
     edges: List[DependenceEdge] = []
     tested = 0
     independent = 0
-    if dedup and driver.wants_batch:
-        results = driver.resolve_batch(
-            [(c, m, k) for _, _, c, m, k in prepared], recorder
-        )
-        for (first, second, *_), result in zip(prepared, results):
-            tested += 1
-            if result.independent:
-                independent += 1
-            else:
-                edges.extend(edges_from_result(first, second, result))
-        return DependenceGraph(sites, edges, independent, tested, recorder)
     for first, second, context, mapping, key in prepared:
         tested += 1
         if dedup:

@@ -14,7 +14,7 @@ wall-clock timings.  The benchmark harness serializes all of it into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.engine.faults import FailureRecord
 from repro.engine.profile import PhaseProfile
@@ -59,14 +59,6 @@ class EngineStats:
     ``/stats`` renders; the fields here exist so merged or deserialized
     service stats keep their meaning.  They are zero outside service
     runs.
-
-    ``backend_coverage`` holds the batching backend's self-reported
-    counters (harvested via ``TestBackend.take_coverage`` after each
-    batch): how many pairs ran fully vectorized vs partially vs fell
-    back to the per-pair walk, per-lane subscript counts, coupled-group
-    lock-step counts, and ``fallback:<reason>`` tallies.  Empty for
-    per-pair backends, and covers in-process batches only — worker
-    processes keep their own backend instances.
     """
 
     hits: int = 0
@@ -89,7 +81,6 @@ class EngineStats:
     shed_requests: int = 0
     coalesced_requests: int = 0
     degraded_requests: int = 0
-    backend_coverage: Dict[str, int] = field(default_factory=dict)
     failures: List[FailureRecord] = field(default_factory=list)
     profile: Optional[PhaseProfile] = field(default=None, compare=False)
 
@@ -117,74 +108,11 @@ class EngineStats:
             # in a shard after this store opened (folded from the tail),
             # as opposed to a prior run's resident records.
             store += f" ({self.store_foreign_hits} cross-process)"
-        text = (
+        return (
             f"verdict provenance: {self.hits} memory hit(s), "
             f"{store}, {self.misses} tested, "
             f"{self.assumed} assumed"
         )
-        coverage = self.coverage_summary()
-        if coverage:
-            text += f"; {coverage}"
-        return text
-
-    def add_coverage(self, counters: Dict[str, int]) -> None:
-        """Fold one harvested batch-coverage counter dict into the stats."""
-        coverage = self.backend_coverage
-        for key, count in counters.items():
-            coverage[key] = coverage.get(key, 0) + count
-
-    def coverage_summary(self) -> str:
-        """One-line batched/partial/fallback pair split (empty when unused)."""
-        coverage = self.backend_coverage
-        total = coverage.get("pairs", 0)
-        if not total:
-            return ""
-        batched = coverage.get("pairs_batched", 0)
-        partial = coverage.get("pairs_partial", 0)
-        fallback = coverage.get("pairs_fallback", 0)
-        return (
-            f"batched coverage: {batched}/{total} pair(s) fully batched "
-            f"({batched / total:.1%}), {partial} partial, {fallback} fallback"
-        )
-
-    def coverage_report(self) -> str:
-        """Multi-line lane/fallback breakdown (empty string when unused)."""
-        summary = self.coverage_summary()
-        if not summary:
-            return ""
-        coverage = self.backend_coverage
-        lines = [summary]
-        lanes = {
-            key[len("lane:"):]: count
-            for key, count in coverage.items()
-            if key.startswith("lane:")
-        }
-        if lanes:
-            lanes_text = ", ".join(
-                f"{name} {count}" for name, count in sorted(lanes.items())
-            )
-            lines.append(f"  lanes: {lanes_text}")
-        groups = coverage.get("delta:groups", 0)
-        if groups:
-            lines.append(
-                f"  coupled groups: {coverage.get('delta:groups_batched', 0)}"
-                f"/{groups} pre-run over {coverage.get('delta:rounds', 0)} "
-                f"lock-step round(s) "
-                f"({coverage.get('delta:inner_lane', 0)} lane / "
-                f"{coverage.get('delta:inner_direct', 0)} direct subscript"
-                f" test(s))"
-            )
-        fallbacks = {
-            key[len("fallback:"):]: count
-            for key, count in coverage.items()
-            if key.startswith("fallback:")
-        }
-        if fallbacks:
-            fallback_text = ", ".join(
-                f"{name} {count}" for name, count in sorted(fallbacks.items())
-            )
-            lines.append(f"  fallback reasons: {fallback_text}")
-        return "\n".join(lines)
 
     def record_failure(self, record: FailureRecord) -> None:
         """Append one absorbed-failure report (and bump its kind counter)."""
@@ -218,8 +146,6 @@ class EngineStats:
         self.shed_requests += other.shed_requests
         self.coalesced_requests += other.coalesced_requests
         self.degraded_requests += other.degraded_requests
-        if other.backend_coverage:
-            self.add_coverage(other.backend_coverage)
         self.failures.extend(other.failures)
         if other.profile is not None:
             if self.profile is None:
@@ -237,7 +163,6 @@ class EngineStats:
         self.routines_skipped = 0
         self.shed_requests = self.coalesced_requests = 0
         self.degraded_requests = 0
-        self.backend_coverage.clear()
         self.failures.clear()
         if self.profile is not None:
             self.profile.reset()
@@ -277,8 +202,6 @@ class EngineStats:
             out["shed_requests"] = self.shed_requests
             out["coalesced_requests"] = self.coalesced_requests
             out["degraded_requests"] = self.degraded_requests
-        if self.backend_coverage:
-            out["backend_coverage"] = dict(self.backend_coverage)
         if self.profile is not None:
             out["profile"] = self.profile.as_dict()
         return out

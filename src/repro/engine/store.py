@@ -91,6 +91,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from stat import S_ISDIR
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.plan import TestPlan
@@ -860,9 +861,16 @@ class VerdictStore:
         self._segments: List[_Segment] = []
         self._meta: Optional[_Segment] = None
         self.recovered_report: Optional[StoreReport] = None
-        if self.path.is_dir():
+        # One stat picks the branch.  With two checks, a concurrent
+        # creator's directory could appear between them and be taken for
+        # a stray file to delete.
+        try:
+            mode: Optional[int] = self.path.stat().st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            mode = None
+        if mode is not None and S_ISDIR(mode):
             self._open_v2(shards)
-        elif self.path.exists():
+        elif mode is not None:
             if self._looks_like_v1(self.path):
                 self._open_v1_read_only()
             else:

@@ -99,7 +99,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     jobs: int = 1
-    backend: Optional[str] = None
     store_path: Optional[Path] = None
     store_shards: Optional[int] = None
     max_in_flight: int = 4
@@ -225,7 +224,6 @@ class DependenceService:
         self.engine = DependenceEngine(
             symbols=self.symbols,
             jobs=config.jobs,
-            backend=config.backend,
             store=store,
             policy=config.policy,
             **kwargs,

@@ -18,7 +18,7 @@ KERNEL = str(KERNEL_ROOT / "linpack" / "dgefa.f")
 
 #: Modules (with their submodules) a one-shot ``analyze`` never runs, so
 #: must not import: the pool, the store, the corpus streamer, the
-#: service, the study, the numpy backend and the ``--transforms`` and
+#: service, the study, numpy and the ``--transforms`` and
 #: ``vectorize`` consumers, plus the stdlib packages only they pull in.
 ONE_SHOT_EXCLUDED = (
     "multiprocessing",
@@ -37,7 +37,6 @@ ONE_SHOT_EXCLUDED = (
     "repro.corpus.generator",
     "repro.service",
     "repro.study",
-    "repro.backends.batched",
     "repro.transform.vectorize",
     "repro.transform.interchange",
     "repro.transform.peel",
@@ -49,7 +48,7 @@ def imported_modules(*args, cwd):
     """Every module a fresh ``python -X importtime ARGS`` imports."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    for name in ("REPRO_BACKEND", "REPRO_FAULTS", "REPRO_FAULT_MARKER"):
+    for name in ("REPRO_FAULTS", "REPRO_FAULT_MARKER"):
         env.pop(name, None)
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *args],

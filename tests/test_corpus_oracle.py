@@ -13,16 +13,12 @@ asserted to stay a minority so the sweep keeps its teeth.
 
 import pytest
 
+from repro.core.driver import test_dependence
 from repro.graph.depgraph import iter_candidate_pairs
 from repro.ir.context import SymbolEnv
 from repro.corpus.loader import load_suite
 
 from tests.oracle import brute_force_vectors, eval_expr
-from tests.scenarios import backend_test_dependence as test_dependence
-
-# The corpus sweep runs once per registered backend (see conftest.py),
-# so every backend's verdicts are certified against brute force.
-apply_backend_scenarios = True
 
 #: Concrete values for the corpus size symbols: small enough to enumerate,
 #: big enough to exercise offsets up to ~4.

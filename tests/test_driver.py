@@ -1,7 +1,8 @@
 """Unit and oracle tests for the partition-based driver (Section 3)."""
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.core.driver import test_dependence
 from repro.dirvec.direction import Direction
 from repro.fortran.parser import parse_fragment
 from repro.instrument import TestRecorder
@@ -10,12 +11,6 @@ from repro.ir.loop import collect_access_sites
 
 from tests.helpers import sites_of, write_read_pair
 from tests.oracle import brute_force_vectors
-from tests.scenarios import backend_test_dependence as test_dependence
-
-# Every test here runs once per registered backend (see conftest.py):
-# the assertions below — paper examples, merge behavior, the hypothesis
-# oracle — double as the backend parity suite.
-apply_backend_scenarios = True
 
 LT, EQ, GT = Direction.LT, Direction.EQ, Direction.GT
 
@@ -120,8 +115,7 @@ class TestDriverOracle:
         st.integers(-2, 2), st.integers(-4, 4),
         st.integers(-2, 2), st.integers(-4, 4),
     )
-    @settings(max_examples=120, deadline=None,
-              suppress_health_check=[HealthCheck.differing_executors])
+    @settings(max_examples=120, deadline=None)
     def test_driver_sound_and_exact(self, a1, c1, b1, d1, a2, c2, b2, d2):
         write_sub1 = f"{a1}*i + {b1}*j + {c1}"
         write_sub2 = f"{b2}*i + {a2}*j + {d2}"

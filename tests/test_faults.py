@@ -11,6 +11,7 @@ spurious independence.  Faults are injected deterministically through
 
 import pytest
 
+from repro.delta.delta import DEFAULT_OPTIONS
 from repro.engine import (
     BudgetExceededError,
     CachedDriver,
@@ -23,10 +24,12 @@ from repro.engine import (
 )
 from repro.engine import faultinject
 from repro.engine.faultinject import InjectedFaultError, parse_spec
+from repro.engine.parallel import run_chunk
 from repro.engine.stats import EngineStats
 from repro.fortran.parser import parse_fragment, parse_program
 from repro.graph.depgraph import build_dependence_graph
 from repro.instrument import TestRecorder
+from repro.ir.loop import collect_access_sites
 
 COUPLED = """
       do i = 1, 100
@@ -78,6 +81,14 @@ def graph_signature(graph):
 
 def recorder_rows(recorder):
     return sorted(recorder.rows())
+
+
+def chunk_of(nodes, *arrays):
+    """A :func:`run_chunk` chunk pairing the two sites of each array."""
+    by_array = {}
+    for index, site in enumerate(collect_access_sites(nodes)):
+        by_array.setdefault(site.ref.array, []).append(index)
+    return [tuple(by_array[array]) for array in arrays]
 
 
 class TestStepBudget:
@@ -228,6 +239,39 @@ class TestPairErrorInjection:
         )
         b_edges = [e for e in graph.edges if e.source.ref.array == "b"]
         assert b_edges and not any(edge.assumed for edge in b_edges)
+
+    def test_run_chunk_isolates_faulted_pair(self, monkeypatch):
+        # run_chunk is the per-pair guard of pool workers and of the
+        # supervisor's parent-side recovery: the faulted A pair degrades
+        # alone, with an empty recorder; its B chunk-mate gets a verdict.
+        nodes = parse_fragment(TWO_ARRAYS)
+        monkeypatch.setenv(faultinject.ENV_VAR, "pair-error:a")
+        a_entry, b_entry = run_chunk(
+            (0, nodes, None, chunk_of(nodes, "a", "b")), DEFAULT_OPTIONS, None
+        )
+        assert a_entry.assumed and "InjectedFaultError" in a_entry.failure
+        assert a_entry.recorder.rows() == []
+        assert not b_entry.assumed and b_entry.failure is None
+        assert b_entry.recorder.rows()
+
+    def test_run_chunk_discards_partial_counters(self):
+        # A one-step budget lets the first SIV position be tested and
+        # recorded, then trips on the second: the degraded entry must not
+        # carry the partial counters.
+        nodes = parse_fragment(
+            """
+      do i = 1, 100
+        do j = 1, 100
+          A(i+1, j) = A(i, j)
+        end do
+      end do
+"""
+        )
+        (entry,) = run_chunk(
+            (0, nodes, None, chunk_of(nodes, "a")), DEFAULT_OPTIONS, 1
+        )
+        assert entry.assumed and "BudgetExceededError" in entry.failure
+        assert entry.recorder.rows() == []
 
     def test_strict_mode_raises(self, monkeypatch):
         monkeypatch.setenv(faultinject.ENV_VAR, "pair-error:a")

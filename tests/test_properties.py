@@ -9,22 +9,18 @@ whenever the driver claims it.
 
 import itertools
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.subscript_by_subscript import (
     test_dependence_lambda,
     test_dependence_power,
     test_dependence_subscript_by_subscript,
 )
+from repro.core.driver import test_dependence
 from repro.fortran.parser import parse_fragment
 from repro.ir.loop import collect_access_sites
 
 from tests.oracle import brute_force_vectors
-from tests.scenarios import backend_test_dependence as test_dependence
-
-# The strongest oracle suite runs once per registered backend (see
-# conftest.py): soundness and exactness are certified per backend.
-apply_backend_scenarios = True
 
 subscript_atoms = st.sampled_from(
     ["i", "j", "i+1", "i-1", "j+1", "2*i", "2*i+1", "i+j", "i+j-1",
@@ -63,8 +59,7 @@ class TestFullDriverOracle:
         st.lists(subscript_atoms, min_size=1, max_size=2),
         st.lists(subscript_atoms, min_size=1, max_size=2),
     )
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.differing_executors])
+    @settings(max_examples=200, deadline=None)
     def test_all_drivers_sound(self, write_subs, read_subs):
         if len(write_subs) != len(read_subs):
             read_subs = (read_subs * 2)[: len(write_subs)]
@@ -82,8 +77,7 @@ class TestFullDriverOracle:
         st.lists(subscript_atoms, min_size=1, max_size=2),
         st.lists(subscript_atoms, min_size=1, max_size=2),
     )
-    @settings(max_examples=200, deadline=None,
-              suppress_health_check=[HealthCheck.differing_executors])
+    @settings(max_examples=200, deadline=None)
     def test_main_driver_exactness(self, write_subs, read_subs):
         if len(write_subs) != len(read_subs):
             read_subs = (read_subs * 2)[: len(write_subs)]
@@ -98,8 +92,7 @@ class TestFullDriverOracle:
         st.lists(subscript_atoms, min_size=1, max_size=2),
         st.lists(subscript_atoms, min_size=1, max_size=2),
     )
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.differing_executors])
+    @settings(max_examples=100, deadline=None)
     def test_delta_never_less_precise_than_sxs(self, write_subs, read_subs):
         """The partition+delta driver must prove independence whenever the
         subscript-by-subscript baseline does (it strictly refines it)."""
@@ -115,8 +108,7 @@ class TestFullDriverOracle:
 
 class TestSelfPairs:
     @given(st.lists(subscript_atoms, min_size=1, max_size=2))
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.differing_executors])
+    @settings(max_examples=60, deadline=None)
     def test_self_pair_always_dependent_on_eq(self, subs):
         """A reference paired with itself is trivially 'dependent' with at
         least the all-= vector (same iteration, same cell)."""

@@ -75,6 +75,12 @@ KERNEL = """
 #: routine's verdicts, so the killed run leaves durable progress behind.
 DIE_MID_RUN = 8
 
+#: ``pair-delay`` seconds for the second of two concurrent writers.  Each
+#: routine of ``KERNEL`` has at least two pairs, so the delayed writer
+#: flushes no verdict before ~1 s after opening the store; the undelayed
+#: writer makes all of its appends within ~0.1 s of opening it.
+WRITER_STAGGER_S = 0.5
+
 
 def subprocess_env():
     env = dict(os.environ)
@@ -432,6 +438,33 @@ class TestMultiWriter:
                 second.mark_run("b", "two")
         with VerdictStore(path) as store:
             assert set(store.runs()) == {("a", "one"), ("b", "two")}
+
+    def test_opener_losing_the_create_race_joins_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A concurrent creator finishes right after this opener's first
+        look at the path: the opener must join that store, not treat the
+        new directory as a stray file."""
+        path = tmp_path / "s.db"
+        real_stat = Path.stat
+        raced = []
+
+        def stat_then_lose_race(self, *args, **kwargs):
+            if self == path and not raced:
+                raced.append(True)
+                with VerdictStore(path) as other:
+                    other.mark_run("other", "creator")
+                raise FileNotFoundError(2, "absent at first look", str(path))
+            return real_stat(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", stat_then_lose_race)
+        with VerdictStore(path) as store:
+            store.mark_run("late", "opener")
+        assert raced
+        with VerdictStore(path) as store:
+            assert set(store.runs()) == {
+                ("other", "creator"), ("late", "opener")
+            }
 
     def test_tail_fold_makes_concurrent_writes_visible(self, tmp_path):
         path = tmp_path / "s.db"
@@ -1145,26 +1178,33 @@ class TestKillAndResume:
         db = tmp_path / "s.db"
         fresh = run_cli(["analyze", str(kernel_file), "--counts"])
         assert fresh.returncode == 0
-        env = subprocess_env()
-        env["REPRO_FAULTS"] = f"store-die:{DIE_MID_RUN}"
-        procs = [
-            subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "analyze",
-                    str(kernel_file), "--store", str(db),
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=env,
+        # Concurrent writers dedup each other's records on flush, so a
+        # writer whose records the other flushed first appends fewer and
+        # its kill point may never fire.  The second writer therefore
+        # sleeps before each pair test: its first verdict flush comes
+        # seconds after the first writer has made all of its own appends,
+        # so the first writer reliably dies mid-write.
+        procs = []
+        for faults in (
+            f"store-die:{DIE_MID_RUN}",
+            f"store-die:{DIE_MID_RUN},pair-delay:{WRITER_STAGGER_S}",
+        ):
+            env = subprocess_env()
+            env["REPRO_FAULTS"] = faults
+            procs.append(
+                subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro", "analyze",
+                        str(kernel_file), "--store", str(db),
+                    ],
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    env=env,
+                )
             )
-            for _ in range(2)
-        ]
         for p in procs:
             p.communicate(timeout=600)
-        # Concurrent writers dedup each other's records on flush, so the
-        # slower writer appends fewer records and its kill point may
-        # never fire — but at least one writer must have died mid-write.
         codes = {p.returncode for p in procs}
         assert codes <= {0, 9} and 9 in codes, codes
         resumed = run_cli(
